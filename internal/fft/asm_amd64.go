@@ -24,6 +24,14 @@ func cpuFeatureProbe() (avx, avx2 bool)
 //go:noescape
 func fftStageAVX(x *complex128, n, half int, tw *complex128)
 
+// butterflyRowsAVX runs the radix-2 butterfly with the single twiddle *tw
+// down n columns of the row pair at a and b (the column pass, see
+// transformCols); n must be even. Bit-identical to the scalar butterfly on
+// finite inputs. Implemented in asm_amd64.s.
+//
+//go:noescape
+func butterflyRowsAVX(a, b *complex128, n int, tw *complex128)
+
 // cmulAVX computes dst[i] = a[i] * b[i] for i < n; n must be even.
 // Implemented in asm_amd64.s.
 //

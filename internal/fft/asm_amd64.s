@@ -126,6 +126,41 @@ done:
 	VZEROUPPER
 	RET
 
+// func butterflyRowsAVX(a, b *complex128, n int, tw *complex128)
+//
+// One radix-2 butterfly down n columns of a row pair: t = b[c]*w,
+// a[c] = a[c]+t, b[c] = a[c]-t with the single twiddle w = *tw broadcast to
+// both lanes, two columns per iteration — the fftStageAVX body with its
+// twiddle load hoisted. n must be even (the Go wrapper peels the odd tail).
+TEXT ·butterflyRowsAVX(SB), NOSPLIT, $0-32
+	MOVQ a+0(FP), DI
+	MOVQ b+8(FP), BX
+	MOVQ n+16(FP), CX
+	MOVQ tw+24(FP), R9
+	SHLQ $4, CX
+	VBROADCASTF128 (R9), Y2    // w = [w, w]
+	VPERMILPD $0x0, Y2, Y10    // [wr, wr, wr, wr]
+	VPERMILPD $0xF, Y2, Y11    // [wi, wi, wi, wi]
+	XORQ SI, SI
+brloop:
+	CMPQ SI, CX
+	JGE  brdone
+	VMOVUPD   (BX)(SI*1), Y1   // b = [b0, b1]
+	VMULPD    Y1, Y10, Y12     // b * wr
+	VPERMILPD $0x5, Y1, Y13    // [b0i, b0r, b1i, b1r]
+	VMULPD    Y13, Y11, Y13    // bswap * wi
+	VADDSUBPD Y13, Y12, Y14    // t = b * w
+	VMOVUPD   (DI)(SI*1), Y0   // a
+	VADDPD    Y14, Y0, Y15
+	VMOVUPD   Y15, (DI)(SI*1)  // a + t
+	VSUBPD    Y14, Y0, Y15
+	VMOVUPD   Y15, (BX)(SI*1)  // a - t
+	ADDQ      $32, SI
+	JMP       brloop
+brdone:
+	VZEROUPPER
+	RET
+
 // func cmulAVX(dst, a, b *complex128, n int)
 //
 // dst[i] = a[i] * b[i] for i < n, two bins per iteration. n must be even

@@ -216,17 +216,19 @@ func TestVecPlanEngineBitIdentical(t *testing.T) {
 	}
 }
 
-// FuzzVecEquivalence drives the rfft row pipeline and the pointwise kernels
-// with fuzzer-chosen sizes, source cuts, and data seeds, asserting bitwise
-// engine equality every time. The seeds cover the structural edges (smallest
-// sizes, odd cuts, sub-vector tails); the fuzzer explores from there.
+// FuzzVecEquivalence drives the rfft row pipeline, the pointwise kernels and
+// the column pass with fuzzer-chosen sizes, source cuts, column counts, and
+// data seeds, asserting bitwise engine equality every time (the column pass
+// against the per-column oracle as well). The seeds cover the structural
+// edges (smallest sizes, odd cuts, sub-vector tails, strip edges); the
+// fuzzer explores from there.
 func FuzzVecEquivalence(f *testing.F) {
-	f.Add(int64(1), uint8(1), uint8(0))
-	f.Add(int64(2), uint8(2), uint8(1))
-	f.Add(int64(3), uint8(4), uint8(3))
-	f.Add(int64(4), uint8(8), uint8(255))
-	f.Add(int64(5), uint8(12), uint8(7))
-	f.Fuzz(func(t *testing.T, seed int64, sizeExp, cut uint8) {
+	f.Add(int64(1), uint8(1), uint8(0), uint16(0))
+	f.Add(int64(2), uint8(2), uint8(1), uint16(128))
+	f.Add(int64(3), uint8(4), uint8(3), uint16(127))
+	f.Add(int64(4), uint8(8), uint8(255), uint16(256))
+	f.Add(int64(5), uint8(12), uint8(7), uint16(2))
+	f.Fuzz(func(t *testing.T, seed int64, sizeExp, cut uint8, cols uint16) {
 		requireASM(t)
 		n := 1 << (int(sizeExp)%12 + 1) // 2 .. 4096
 		rng := rand.New(rand.NewSource(seed))
@@ -255,6 +257,16 @@ func FuzzVecEquivalence(f *testing.F) {
 		irfftRow(outRef, accRef, twM, twN, false)
 		irfftRow(outVec, accVec, twM, twN, true)
 		diffFloat(t, "fuzz irfft", outVec, outRef)
+
+		// Column pass: up to 520 columns (past four strip edges) by 1 ..
+		// 1024 rows, both engines against the per-column oracle.
+		cw, ch := int(cols)%520+1, 1<<(int(sizeExp)%11)
+		csrc := randComplex(rng, cw*ch)
+		for _, inverse := range []bool{false, true} {
+			for _, vec := range []bool{false, true} {
+				checkColumnPass(t, csrc, cw, ch, inverse, vec)
+			}
+		}
 	})
 }
 
@@ -264,9 +276,6 @@ func FuzzVecEquivalence(f *testing.F) {
 // under whichever engine the host default selects.)
 func TestVecKernelsZeroAlloc(t *testing.T) {
 	requireASM(t)
-	if raceEnabled {
-		t.Skip("sync.Pool randomly drops puts under the race detector")
-	}
 	rng := rand.New(rand.NewSource(505))
 	const n = 256
 	x := randComplex(rng, n)
@@ -298,9 +307,6 @@ func TestVecKernelsZeroAlloc(t *testing.T) {
 // engine, independent of the host default.
 func TestVecApplySpecZeroAlloc(t *testing.T) {
 	requireASM(t)
-	if raceEnabled {
-		t.Skip("sync.Pool randomly drops puts under the race detector")
-	}
 	t.Setenv(EnvASM, "")
 	rng := rand.New(rand.NewSource(606))
 	w, h, kw, kh := 32, 32, 7, 7

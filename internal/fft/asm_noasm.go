@@ -15,6 +15,10 @@ func fftStageAVX(x *complex128, n, half int, tw *complex128) {
 	panic("fft: fftStageAVX without AVX support")
 }
 
+func butterflyRowsAVX(a, b *complex128, n int, tw *complex128) {
+	panic("fft: butterflyRowsAVX without AVX support")
+}
+
 func cmulAVX(dst, a, b *complex128, n int) {
 	panic("fft: cmulAVX without AVX support")
 }

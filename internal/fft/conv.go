@@ -47,13 +47,12 @@ type Plan struct {
 }
 
 // Scratch is the per-goroutine workspace of one convolution lane: a forward
-// spectrum, a product/inverse-transform field, the blocked column strip, and
-// (real mode) the real row staging buffer. A plan owns one Scratch for its
-// serial methods; parallel callers allocate one per worker with NewScratch.
+// spectrum, a product/inverse-transform field, and (real mode) the real row
+// staging buffer. A plan owns one Scratch for its serial methods; parallel
+// callers allocate one per worker with NewScratch.
 type Scratch struct {
 	spec []complex128
 	buf  []complex128
-	col  []complex128
 	rrow []float64
 }
 
@@ -104,7 +103,6 @@ func (p *Plan) NewScratch() *Scratch {
 	return &Scratch{
 		spec: make([]complex128, p.SpecLen()),
 		buf:  make([]complex128, p.SpecLen()),
-		col:  make([]complex128, colBlock*p.PH),
 		rrow: make([]float64, p.PW),
 	}
 }
@@ -112,13 +110,9 @@ func (p *Plan) NewScratch() *Scratch {
 // TransformKernel returns the frequency-domain representation of kernel
 // (row-major kw x kh, center at ((kw-1)/2, (kh-1)/2)), wrapped so the center
 // sits at the padded origin. The result can be passed to Convolve and
-// Correlate any number of times.
+// Correlate any number of times. It reads only the plan's immutable state,
+// so it is safe on a shared plan (PlanFor) from any goroutine.
 func (p *Plan) TransformKernel(kernel []float64) []complex128 {
-	return p.transformKernel(&p.scratch, kernel)
-}
-
-// transformKernel derives a kernel spectrum using the column strip of s.
-func (p *Plan) transformKernel(s *Scratch, kernel []float64) []complex128 {
 	if len(kernel) != p.KW*p.KH {
 		panic(fmt.Sprintf("fft: kernel length %d != %dx%d", len(kernel), p.KW, p.KH))
 	}
@@ -138,13 +132,13 @@ func (p *Plan) transformKernel(s *Scratch, kernel []float64) []complex128 {
 		for y := 0; y < p.PH; y++ {
 			rfftRow(kf[y*p.HW:(y+1)*p.HW], wrapped[y*p.PW:(y+1)*p.PW], p.twHalf, p.twRow, p.vec)
 		}
-		transformCols(kf, p.HW, p.PH, p.twCol, false, s.col, p.vec)
+		transformCols(kf, p.HW, p.PH, p.twCol, false, p.vec)
 		return kf
 	}
 	for i, v := range wrapped {
 		kf[i] = complex(v, 0)
 	}
-	transform2D(kf, p.PW, p.PH, false, s.col, p.vec)
+	transform2D(kf, p.PW, p.PH, false, p.vec)
 	return kf
 }
 
@@ -203,7 +197,7 @@ func (p *Plan) ForwardInto(s *Scratch, img []float64) []complex128 {
 		for i := range tail {
 			tail[i] = 0
 		}
-		transformCols(spec, p.HW, p.PH, p.twCol, false, s.col, p.vec)
+		transformCols(spec, p.HW, p.PH, p.twCol, false, p.vec)
 		return spec
 	}
 	for y := 0; y < p.H; y++ {
@@ -218,7 +212,7 @@ func (p *Plan) ForwardInto(s *Scratch, img []float64) []complex128 {
 	for i := p.H * p.PW; i < len(spec); i++ {
 		spec[i] = 0
 	}
-	transform2D(spec, p.PW, p.PH, false, s.col, p.vec)
+	transform2D(spec, p.PW, p.PH, false, p.vec)
 	return spec
 }
 
@@ -278,7 +272,7 @@ func (p *Plan) inverseInto(s *Scratch, freq []complex128, out []float64) {
 		panic(fmt.Sprintf("fft: out length %d != %dx%d", len(out), p.W, p.H))
 	}
 	if p.realMode {
-		transformCols(freq, p.HW, p.PH, p.twCol, true, s.col, p.vec)
+		transformCols(freq, p.HW, p.PH, p.twCol, true, p.vec)
 		norm := 1 / float64(p.PH)
 		for y := 0; y < p.H; y++ {
 			irfftRow(s.rrow, freq[y*p.HW:(y+1)*p.HW], p.twHalf, p.twRow, p.vec)
@@ -289,7 +283,7 @@ func (p *Plan) inverseInto(s *Scratch, freq []complex128, out []float64) {
 		}
 		return
 	}
-	transform2D(freq, p.PW, p.PH, true, s.col, p.vec)
+	transform2D(freq, p.PW, p.PH, true, p.vec)
 	for y := 0; y < p.H; y++ {
 		for x := 0; x < p.W; x++ {
 			out[y*p.W+x] = real(freq[y*p.PW+x])

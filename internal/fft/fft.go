@@ -109,33 +109,22 @@ func scale(x []complex128, s float64) {
 	}
 }
 
-// colBlock is how many columns the 2-D drivers gather and transform per
-// pass. Walking the raster row-wise in strips of colBlock columns keeps the
-// gather/scatter sequential in memory instead of striding the full row
-// width once per column.
-const colBlock = 8
+// colStrip is how many columns the column pass transforms together. At
+// 2 KiB of complex128 per strip row, a 512-row strip (1 MiB) stays resident
+// in L2 across all of its butterfly stages.
+const colStrip = 128
 
 // FFT2D transforms a w x h row-major complex raster in place (rows first,
-// then columns). Both w and h must be powers of two. The column scratch
-// comes from a pool, so steady-state calls do not allocate.
-func FFT2D(data []complex128, w, h int) {
-	strip := getStrip(colBlock * h)
-	transform2D(data, w, h, false, *strip, vecEnabled())
-	putStrip(strip)
-}
+// then columns). Both w and h must be powers of two. It needs no scratch,
+// so steady-state calls do not allocate.
+func FFT2D(data []complex128, w, h int) { transform2D(data, w, h, false, vecEnabled()) }
 
 // IFFT2D inverts FFT2D, including normalization.
-func IFFT2D(data []complex128, w, h int) {
-	strip := getStrip(colBlock * h)
-	transform2D(data, w, h, true, *strip, vecEnabled())
-	putStrip(strip)
-}
+func IFFT2D(data []complex128, w, h int) { transform2D(data, w, h, true, vecEnabled()) }
 
-// transform2D is the shared full-complex 2-D driver. col is the
-// caller-provided column strip (len >= h; larger strips enable blocked
-// column processing); Plan threads its reusable scratch through here so the
-// convolution hot path performs no per-call allocation.
-func transform2D(data []complex128, w, h int, inverse bool, col []complex128, vec bool) {
+// transform2D is the shared full-complex 2-D driver: every row, then every
+// column, both in place.
+func transform2D(data []complex128, w, h int, inverse, vec bool) {
 	if len(data) != w*h {
 		panic(fmt.Sprintf("fft: data length %d != %d x %d", len(data), w, h))
 	}
@@ -146,44 +135,67 @@ func transform2D(data []complex128, w, h int, inverse bool, col []complex128, ve
 	if inverse {
 		scale(data, 1/float64(w))
 	}
-	transformCols(data, w, h, tablesFor(h), inverse, col, vec)
+	transformCols(data, w, h, tablesFor(h), inverse, vec)
 	if inverse {
 		scale(data, 1/float64(h))
 	}
 }
 
 // transformCols transforms every column of the w x h raster in place using
-// the length-h tables, processing as many columns per pass as the strip
-// scratch holds. The per-column results are independent of the blocking
-// factor. No normalization is applied.
-func transformCols(data []complex128, w, h int, tw *twiddles, inverse bool, col []complex128, vec bool) {
-	if len(col) < h {
-		panic(fmt.Sprintf("fft: column scratch %d < %d", len(col), h))
-	}
-	nb := len(col) / h
-	if nb > w {
-		nb = w
-	}
-	for x0 := 0; x0 < w; x0 += nb {
-		b := nb
-		if x0+b > w {
-			b = w - x0
-		}
-		blk := col[:b*h]
-		for y := 0; y < h; y++ {
-			row := data[y*w+x0 : y*w+x0+b]
-			for j, v := range row {
-				blk[j*h+y] = v
+// the length-h tables, without gathering columns out of the raster. The
+// bit-reversal permutes whole rows; then each strip of colStrip columns runs
+// every butterfly stage, one row pair (k, k+half) at a time across the
+// strip's contiguous columns with that pair's single twiddle. Each column
+// sees exactly the operations transformWith applies to it, so the result is
+// bit-identical to transforming the columns one by one. No normalization is
+// applied.
+func transformCols(data []complex128, w, h int, tw *twiddles, inverse, vec bool) {
+	for i, r := range tw.rev {
+		if int32(i) < r {
+			a := data[i*w : (i+1)*w]
+			b := data[int(r)*w : (int(r)+1)*w]
+			for x := range a {
+				a[x], b[x] = b[x], a[x]
 			}
 		}
-		for j := 0; j < b; j++ {
-			transformWith(blk[j*h:(j+1)*h], tw, inverse, vec)
-		}
-		for y := 0; y < h; y++ {
-			row := data[y*w+x0 : y*w+x0+b]
-			for j := range row {
-				row[j] = blk[j*h+y]
+	}
+	tab := tw.fwd
+	if inverse {
+		tab = tw.inv
+	}
+	for x0 := 0; x0 < w; x0 += colStrip {
+		x1 := min(x0+colStrip, w)
+		for size := 2; size <= h; size <<= 1 {
+			half := size >> 1
+			step := h / size
+			for start := 0; start < h; start += size {
+				for j := 0; j < half; j++ {
+					k := start + j
+					butterflyRows(data[k*w+x0:k*w+x1], data[(k+half)*w+x0:(k+half)*w+x1], &tab[j*step], vec)
+				}
 			}
 		}
+	}
+}
+
+// butterflyRows runs the radix-2 butterfly a[c], b[c] = a[c]+b[c]*t,
+// a[c]-b[c]*t down every column c of one row pair, t = *tw. The vector
+// engine takes whole pairs of columns; an odd tail column runs the same
+// expression in Go.
+func butterflyRows(a, b []complex128, tw *complex128, vec bool) {
+	c := 0
+	if vec {
+		if v := len(a) &^ 1; v > 0 {
+			butterflyRowsAVX(&a[0], &b[0], v, tw)
+			c = v
+		}
+	}
+	b = b[:len(a)]
+	t := *tw
+	for ; c < len(a); c++ {
+		u := a[c]
+		v := b[c] * t
+		a[c] = u + v
+		b[c] = u - v
 	}
 }

@@ -171,6 +171,62 @@ func TestFFT2DPanicsOnBadLen(t *testing.T) {
 	FFT2D(make([]complex128, 7), 4, 2)
 }
 
+// columnOracle transforms the columns of the w x h raster one at a time:
+// gather the column, run the 1-D scalar reference transformWith on it, and
+// scatter it back. The column pass must reproduce it bit for bit.
+func columnOracle(data []complex128, w, h int, inverse bool) {
+	tw := tablesFor(h)
+	col := make([]complex128, h)
+	for x := 0; x < w; x++ {
+		for y := range col {
+			col[y] = data[y*w+x]
+		}
+		transformWith(col, tw, inverse, false)
+		for y, v := range col {
+			data[y*w+x] = v
+		}
+	}
+}
+
+// checkColumnPass runs transformCols on a copy of src under the given
+// engine and compares it bitwise with the per-column oracle.
+func checkColumnPass(t *testing.T, src []complex128, w, h int, inverse, vec bool) {
+	t.Helper()
+	want := append([]complex128(nil), src...)
+	columnOracle(want, w, h, inverse)
+	got := append([]complex128(nil), src...)
+	transformCols(got, w, h, tablesFor(h), inverse, vec)
+	for i := range want {
+		if math.Float64bits(real(got[i])) != math.Float64bits(real(want[i])) ||
+			math.Float64bits(imag(got[i])) != math.Float64bits(imag(want[i])) {
+			t.Fatalf("%dx%d inverse=%v vec=%v: (%d,%d) = %v, per-column oracle %v",
+				w, h, inverse, vec, i%w, i/w, got[i], want[i])
+		}
+	}
+}
+
+// TestColumnPassBitIdentical pins the in-place strip-mined column pass to
+// the per-column oracle. Half-spectrum widths PW/2+1 are always odd, and
+// widths one either side of a strip edge (colStrip = 128) are where the
+// strip walk and the odd tail column can go wrong.
+func TestColumnPassBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	engines := []bool{false}
+	if ASMAvailable() {
+		engines = append(engines, true)
+	}
+	for _, w := range []int{1, 2, 3, 65, 127, 128, 129, 257, 513} {
+		for h := 1; h <= 1024; h <<= 1 {
+			src := randComplex(rng, w*h)
+			for _, inverse := range []bool{false, true} {
+				for _, vec := range engines {
+					checkColumnPass(t, src, w, h, inverse, vec)
+				}
+			}
+		}
+	}
+}
+
 func randImage(rng *rand.Rand, n int) []float64 {
 	img := make([]float64, n)
 	for i := range img {
@@ -289,6 +345,36 @@ func BenchmarkFFT2D256(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		FFT2D(data, 256, 256)
+	}
+}
+
+// BenchmarkFFTColumnPass512 times one column pass over flow_clips'
+// half-spectrum plane: 257 columns (PW/2+1 for PW = 512) by 512 rows,
+// forward and inverse, on the host's default engine (LDMO_FFT_ASM=off
+// times the scalar one). The raster is reloaded every 64 passes, outside
+// the timer, so the unnormalized transforms never overflow.
+func BenchmarkFFTColumnPass512(b *testing.B) {
+	const w, h = 257, 512
+	src := randComplex(rand.New(rand.NewSource(512)), w*h)
+	data := make([]complex128, len(src))
+	tw := tablesFor(h)
+	vec := vecEnabled()
+	for _, inverse := range []bool{false, true} {
+		name := "fwd"
+		if inverse {
+			name = "inv"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if i%64 == 0 {
+					b.StopTimer()
+					copy(data, src)
+					b.StartTimer()
+				}
+				transformCols(data, w, h, tw, inverse, vec)
+			}
+		})
 	}
 }
 

@@ -25,11 +25,12 @@ type planKey struct {
 // PlanFor returns the process-wide shared plan for the given convolution
 // geometry under the current LDMO_FFT mode, building it on first use.
 //
-// A shared plan's embedded scratch is reserved for TransformKernel; every
-// other access must go through the *With methods with a caller-owned
-// Scratch (NewScratch), which only read the plan's immutable state and are
-// safe from any number of goroutines. The serial convenience methods
-// (Forward, Convolve, Correlate, ApplySpec) are NOT safe on a shared plan.
+// TransformKernel needs no scratch and is safe on a shared plan; every other
+// access must go through the *With methods with a caller-owned Scratch
+// (NewScratch), which only read the plan's immutable state and are safe from
+// any number of goroutines. The serial convenience methods (Forward,
+// Convolve, Correlate, ApplySpec) use the plan's embedded scratch and are
+// NOT safe on a shared plan.
 func PlanFor(w, h, kw, kh int) *Plan {
 	key := planKey{w: w, h: h, kw: kw, kh: kh,
 		realMode: os.Getenv(EnvMode) != ModeComplex,
@@ -42,11 +43,4 @@ func PlanFor(w, h, kw, kh int) *Plan {
 	p := NewPlan(w, h, kw, kh)
 	planCache[key] = p
 	return p
-}
-
-// TransformKernelWith is TransformKernel through a caller-owned scratch, so
-// kernel banks can be derived on shared plans without touching the plan's
-// embedded scratch.
-func (p *Plan) TransformKernelWith(s *Scratch, kernel []float64) []complex128 {
-	return p.transformKernel(s, kernel)
 }

@@ -54,12 +54,8 @@ func sharedFor(p Params, w, h int) *simShared {
 	ks := MaxKernelSize(bank)
 	plan := fft.PlanFor(w, h, ks, ks)
 	kffts := make([][]complex128, len(bank))
-	// Kernel transforms run through a throwaway scratch: the shared plan's
-	// embedded scratch must stay untouched so concurrent holders of the
-	// plan are never raced by a late cache fill.
-	fs := plan.NewScratch()
 	for i, k := range bank {
-		kffts[i] = plan.TransformKernelWith(fs, padKernel(k, ks))
+		kffts[i] = plan.TransformKernel(padKernel(k, ks))
 	}
 	s := &simShared{bank: bank, plan: plan, kffts: kffts}
 	sharedCache[key] = s

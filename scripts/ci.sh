@@ -33,6 +33,10 @@ go test -run='^$' -bench='^BenchmarkFFT' -benchtime=100x ./internal/fft
 # engine-equivalence fuzz seeds get a smoke run, and the zero-alloc contract
 # is proven under both engines.
 go vet ./internal/fft
+# Cross-arch leg: every AVX kernel declared in asm_amd64.go needs its stub in
+# asm_noasm.go, and only a non-amd64 build notices a missing one.
+GOARCH=arm64 go vet ./internal/fft
+GOARCH=arm64 go build ./...
 LDMO_FFT_ASM=off go test -timeout 300s ./internal/fft ./internal/litho ./internal/ilt ./internal/core
 LDMO_FFT_ASM=off go test -timeout 120s -run='ZeroAlloc|SteadyStateAllocs|HotPathZeroAlloc' ./internal/fft ./internal/litho ./internal/ilt
 go test -run='^$' -fuzz='^FuzzVecEquivalence$' -fuzztime=10s ./internal/fft
