@@ -14,6 +14,7 @@ import (
 	"ldmo/internal/grid"
 	"ldmo/internal/layout"
 	"ldmo/internal/litho"
+	"ldmo/internal/par"
 	"ldmo/internal/simclock"
 )
 
@@ -171,11 +172,19 @@ func (r Result) Score(alpha, beta, gamma float64) float64 {
 }
 
 // Optimizer runs ILT for decompositions of one fixed layout.
+//
+// The two masks' forward and adjoint passes are independent until their
+// resist images are composed, so each mask owns a simulator and a step runs
+// both masks on a two-lane pool. The worker budget is split between the two
+// levels: min(2, par.Workers()) mask lanes, each simulator fanning out over
+// max(1, par.Workers()/2) kernel lanes. With one worker both levels run the
+// serial loop.
 type Optimizer struct {
 	cfg      Config
 	maxIters int // configured budget, restorable after SetMaxIters
 	layout   layout.Layout
-	sim      *litho.Simulator
+	sims     [2]*litho.Simulator // one per mask; shared bank, plan and kernel spectra
+	masks    *par.Pool           // mask lanes
 	target   *grid.Grid
 	cps      []epe.Checkpoint
 	clock    *simclock.Clock
@@ -195,26 +204,34 @@ func NewOptimizer(l layout.Layout, cfg Config) (*Optimizer, error) {
 	if w <= 0 || h <= 0 {
 		return nil, fmt.Errorf("ilt: window %v too small for resolution %d", l.Window, res)
 	}
-	sim, err := litho.NewSimulator(w, h, cfg.Litho)
-	if err != nil {
-		return nil, err
+	workers := par.Workers()
+	var sims [2]*litho.Simulator
+	for i := range sims {
+		sim, err := litho.NewSimulator(w, h, cfg.Litho)
+		if err != nil {
+			return nil, err
+		}
+		sim.SetWorkers(max(1, workers/2))
+		sims[i] = sim
 	}
 	return &Optimizer{
 		cfg:      cfg,
 		maxIters: cfg.MaxIters,
 		warmOn:   WarmEnabled(),
 		layout:   l,
-		sim:      sim,
+		sims:     sims,
+		masks:    par.NewPool(min(2, workers)),
 		target:   l.Rasterize(res),
 		cps:      epe.GenerateCheckpoints(l.Patterns, cfg.CheckpointSpacing),
 	}, nil
 }
 
-// SetClock attaches deterministic cost accounting to the optimizer's
-// simulator.
+// SetClock attaches deterministic cost accounting to both mask simulators.
 func (o *Optimizer) SetClock(c *simclock.Clock) {
 	o.clock = c
-	o.sim.SetClock(c)
+	for _, sim := range o.sims {
+		sim.SetClock(c)
+	}
 }
 
 // Config returns the normalized configuration in use.

@@ -16,9 +16,12 @@ import (
 // candidates on warm intermediate states exactly as the ICCAD'17 flow does;
 // Optimizer.Run is itself implemented on top of a session.
 //
-// Sessions of the same Optimizer share its simulator scratch buffers, so
-// only one session may be stepped at a time (interleaving Step calls across
-// sessions is fine; calling Step concurrently is not).
+// Sessions of the same Optimizer share its two mask simulators and their
+// scratch buffers, so only one session may be stepped at a time (interleaving
+// Step calls across sessions is fine; calling Step concurrently is not).
+// Within one step the two masks run on the optimizer's mask lanes, each on
+// its own simulator and its own image and gradient buffers; everything that
+// couples them runs after the join, in mask order.
 type Session struct {
 	o    *Optimizer
 	p    [2][]float64
@@ -31,8 +34,9 @@ type Session struct {
 	composed *grid.Grid
 	sat      []bool
 	gradT    []float64
-	gradI    []float64
-	gradM    []float64
+	gradI    [2][]float64
+	gradM    [2][]float64
+	finite   [2]bool // per-mask gradM finiteness, read after the join
 
 	trace []IterStat
 
@@ -63,14 +67,12 @@ const maxNaNRetries = 3
 func (o *Optimizer) NewSession(d interface {
 	Masks(res int) (*grid.Grid, *grid.Grid)
 }) *Session {
-	n := o.sim.W * o.sim.H
+	n := o.target.W * o.target.H
 	s := &Session{
 		o:        o,
 		composed: grid.NewLike(o.target),
 		sat:      make([]bool, n),
 		gradT:    make([]float64, n),
-		gradI:    make([]float64, n),
-		gradM:    make([]float64, n),
 		// The trace grows by one row per iteration; reserving the full
 		// budget up front keeps the steady-state Step loop append-free.
 		trace: make([]IterStat, 0, o.cfg.MaxIters+1),
@@ -80,7 +82,9 @@ func (o *Optimizer) NewSession(d interface {
 		s.m[i] = make([]float64, n)
 		s.aerial[i] = make([]float64, n)
 		s.resist[i] = make([]float64, n)
-		s.fields[i] = o.sim.NewFields()
+		s.fields[i] = o.sims[i].NewFields()
+		s.gradI[i] = make([]float64, n)
+		s.gradM[i] = make([]float64, n)
 		s.snapP[i] = make([]float64, n)
 	}
 	s.reset(d)
@@ -151,19 +155,37 @@ func (s *Session) reset(d interface {
 // Iter returns the number of gradient iterations performed so far.
 func (s *Session) Iter() int { return s.iter }
 
-// forward evaluates the current masks into the session's image buffers.
-func (s *Session) forward(withFields bool) {
-	for i := 0; i < 2; i++ {
-		litho.MaskSigmoid(s.o.cfg.Litho.ThetaM, s.p[i], s.m[i])
-		f := s.fields[i]
-		if !withFields {
-			f = nil
-		}
-		s.o.sim.Aerial(s.m[i], s.aerial[i], f)
-		s.o.sim.Resist(s.aerial[i], s.resist[i])
-	}
+// forward evaluates the current masks into the session's image buffers,
+// both masks at once, and composes the printed image after the join.
+func (s *Session) forward() {
+	s.o.masks.Map(2, s.forwardMask)
 	litho.ComposeDouble(s.resist[0], s.resist[1], s.composed.Data, s.sat)
 }
+
+// forwardMask is one mask lane of forward: sigmoid, SOCS aerial image
+// (recording the kernel fields the adjoint needs) and resist.
+func (s *Session) forwardMask(_, i int) {
+	sim := s.o.sims[i]
+	litho.MaskSigmoid(s.o.cfg.Litho.ThetaM, s.p[i], s.m[i])
+	sim.Aerial(s.m[i], s.aerial[i], s.fields[i])
+	sim.Resist(s.aerial[i], s.resist[i])
+}
+
+// backwardMask is one mask lane of the adjoint: dL/dT through the resist and
+// the SOCS model into gradM[i], plus its finiteness.
+func (s *Session) backwardMask(_, i int) {
+	sim := s.o.sims[i]
+	sim.ResistBackward(s.gradT, s.resist[i], s.gradI[i])
+	sim.AerialBackward(s.gradI[i], s.fields[i], s.gradM[i])
+	if gradHook != nil {
+		gradHook(i, s.gradM[i])
+	}
+	s.finite[i] = finiteSlice(s.gradM[i])
+}
+
+// gradHook, when set by a test, sees each mask's gradient before its
+// finiteness check. It is nil outside tests.
+var gradHook func(mask int, gradM []float64)
 
 // Step performs n gradient iterations (not exceeding the configured budget)
 // and appends to the trace. It returns the iterations actually performed.
@@ -173,7 +195,7 @@ func (s *Session) forward(withFields bool) {
 func (s *Session) Step(n int) int {
 	done := 0
 	for ; done < n && s.iter < s.o.cfg.MaxIters && !s.fault; done++ {
-		s.forward(true)
+		s.forward()
 		s.iter++
 		l2 := s.composed.L2Diff(s.o.target)
 		if faultinject.FireAt(faultinject.ILTNaN, s.iter) {
@@ -193,18 +215,18 @@ func (s *Session) Step(n int) int {
 				s.gradT[j] = 2 * (s.composed.Data[j] - s.o.target.Data[j])
 			}
 		}
+		s.o.masks.Map(2, s.backwardMask)
+		// Update in mask order after the join: a non-finite mask-0 gradient
+		// leaves mask 1 untouched, exactly as the one-mask-at-a-time loop.
 		for i := 0; i < 2; i++ {
-			s.o.sim.ResistBackward(s.gradT, s.resist[i], s.gradI)
-			s.o.sim.AerialBackward(s.gradI, s.fields[i], s.gradM)
-			if !finiteSlice(s.gradM) {
+			if !s.finite[i] {
 				s.fault = true
 				break
 			}
 			tm := s.o.cfg.Litho.ThetaM
-			pi := s.p[i]
-			mi := s.m[i]
+			pi, mi, gi := s.p[i], s.m[i], s.gradM[i]
 			for j := range pi {
-				pi[j] -= s.o.cfg.StepSize * s.stepScale * s.gradM[j] * tm * mi[j] * (1 - mi[j])
+				pi[j] -= s.o.cfg.StepSize * s.stepScale * gi[j] * tm * mi[j] * (1 - mi[j])
 			}
 		}
 		s.divergePoint()
@@ -302,7 +324,7 @@ func (s *Session) plateaued(window int, tol float64) bool {
 // Snapshot evaluates the current masks (one forward pass) and returns the
 // full printability measurement without advancing the iteration counter.
 func (s *Session) Snapshot() Result {
-	s.forward(false)
+	s.forward()
 	res := Result{Iters: s.iter, NaNRecoveries: s.nanRetries, WarmStart: s.warmed, Trace: append([]IterStat(nil), s.trace...)}
 	res.L2 = s.composed.L2Diff(s.o.target)
 	res.EPE = s.o.cfg.Meter.Measure(s.composed, s.o.cps)

@@ -69,9 +69,6 @@ func TestPredictBatchIntoMatchesPredictBatch(t *testing.T) {
 // coalesced prediction path: once warm at a batch size, scoring
 // input-size images into caller memory allocates nothing.
 func TestPredictBatchIntoSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool randomly drops puts under the race detector")
-	}
 	p, err := New(testConfig())
 	if err != nil {
 		t.Fatal(err)

@@ -111,9 +111,6 @@ func TestFreezeIndependence(t *testing.T) {
 // folded inference path: once the layer caches have grown, a forward pass
 // performs no heap allocation.
 func TestInferenceForwardZeroAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool randomly drops puts under the race detector")
-	}
 	rng := rand.New(rand.NewSource(10))
 	frozen := freezeTestNet(rng).Freeze()
 	x := randBatch(rng, 2, 32)
@@ -129,9 +126,6 @@ func TestInferenceForwardZeroAlloc(t *testing.T) {
 // TestTrainStepSteadyStateAllocs enforces the same contract on a complete
 // training step: forward (training mode), loss, zero-grads, backward, Adam.
 func TestTrainStepSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool randomly drops puts under the race detector")
-	}
 	rng := rand.New(rand.NewSource(11))
 	net := freezeTestNet(rng)
 	params := net.Params()

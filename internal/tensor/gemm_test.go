@@ -241,9 +241,6 @@ func TestEnsureReusesStorage(t *testing.T) {
 // size-class pools are warm, the blocked kernels allocate nothing. The
 // off-block shape exercises the remainder paths too.
 func TestGEMMSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool randomly drops puts under the race detector")
-	}
 	rng := rand.New(rand.NewSource(17))
 	const m, k, n = 13, 70, 530
 	a := randSlice(rng, m*k)

@@ -1,7 +1,9 @@
-// Size-keyed pooled scratch for the GEMM engine and its callers, following
-// the fft plan-cache pattern: one sync.Pool per power-of-two size class,
-// registered in a shared map, so steady-state hot paths (packing buffers,
-// transient gradient accumulators) never allocate.
+// Size-keyed scratch for the GEMM engine: one mutex-guarded free list per
+// power-of-two size class, so steady-state hot paths (packing buffers) never
+// allocate. Unlike a sync.Pool, a free list never drops a returned buffer —
+// not under GC, not under the race detector — so the zero-alloc contract
+// holds everywhere. The lists only ever hold as many buffers as were once in
+// use at the same time.
 package tensor
 
 import (
@@ -10,12 +12,12 @@ import (
 )
 
 var (
-	bufMu    sync.RWMutex
-	bufPools = map[int]*sync.Pool{}
+	bufMu   sync.Mutex
+	bufFree = map[int][]*[]float64{}
 )
 
 // sizeClass rounds n up to a power of two so recycled buffers are reusable
-// across nearby sizes instead of fragmenting the pool per exact length.
+// across nearby sizes instead of fragmenting the free lists per exact length.
 func sizeClass(n int) int {
 	if n <= 1 {
 		return 1
@@ -23,45 +25,27 @@ func sizeClass(n int) int {
 	return 1 << bits.Len(uint(n-1))
 }
 
-func poolFor(class int) *sync.Pool {
-	bufMu.RLock()
-	p := bufPools[class]
-	bufMu.RUnlock()
-	if p != nil {
-		return p
-	}
-	bufMu.Lock()
-	defer bufMu.Unlock()
-	if p = bufPools[class]; p != nil {
-		return p
-	}
-	p = &sync.Pool{New: func() any {
-		s := make([]float64, class)
-		return &s
-	}}
-	bufPools[class] = p
-	return p
-}
-
-// getBuf returns a pooled float64 buffer with capacity >= n. Contents are
+// getBuf returns a recycled float64 buffer with capacity >= n. Contents are
 // unspecified; callers overwrite or zero what they read.
 func getBuf(n int) *[]float64 {
-	return poolFor(sizeClass(n)).Get().(*[]float64)
+	class := sizeClass(n)
+	bufMu.Lock()
+	free := bufFree[class]
+	if k := len(free); k > 0 {
+		b := free[k-1]
+		bufFree[class] = free[:k-1]
+		bufMu.Unlock()
+		return b
+	}
+	bufMu.Unlock()
+	s := make([]float64, class)
+	return &s
 }
 
 // putBuf recycles a buffer obtained from getBuf.
 func putBuf(b *[]float64) {
-	poolFor(sizeClass(cap(*b))).Put(b)
+	class := sizeClass(cap(*b))
+	bufMu.Lock()
+	bufFree[class] = append(bufFree[class], b)
+	bufMu.Unlock()
 }
-
-// GetScratch returns a pooled buffer sliced to length n, for callers outside
-// the package (layer gradient accumulators, column matrices) that need
-// transient zero-alloc scratch. Pair with PutScratch.
-func GetScratch(n int) *[]float64 {
-	b := getBuf(n)
-	*b = (*b)[:n]
-	return b
-}
-
-// PutScratch recycles a buffer obtained from GetScratch.
-func PutScratch(b *[]float64) { putBuf(b) }

@@ -1,9 +1,9 @@
 #!/bin/sh
 # CI gate: clean-tree guard, vet, build, full test suite, the race detector
 # over the packages with concurrent hot paths (worker pool, FFT scratch
-# sharing, kernel-parallel simulator, candidate fan-out), and a short fuzz
-# smoke on the GDS reader so hostile-input regressions surface before a long
-# fuzz campaign would find them.
+# sharing, kernel-parallel simulator, mask-parallel ILT step, candidate
+# fan-out), and a short fuzz smoke on the GDS reader so hostile-input
+# regressions surface before a long fuzz campaign would find them.
 set -eux
 
 cd "$(dirname "$0")/.."
@@ -14,7 +14,7 @@ git diff --exit-code
 go vet ./...
 go build ./...
 go test -timeout 300s -shuffle=on ./...
-go test -timeout 600s -race ./internal/litho ./internal/fft ./internal/core ./internal/par ./internal/sampling ./internal/runx ./internal/faultinject ./internal/artifact ./internal/model ./internal/serve ./internal/factory
+go test -timeout 600s -race ./internal/litho ./internal/fft ./internal/ilt ./internal/core ./internal/par ./internal/sampling ./internal/runx ./internal/faultinject ./internal/artifact ./internal/model ./internal/serve ./internal/factory
 go test -run='^$' -fuzz='^FuzzReadGDS$' -fuzztime=10s ./internal/gds
 
 # Spectral-engine gates: alloc-regression tests on the ILT hot path, a
